@@ -83,6 +83,41 @@ fn bench_calendar_vs_heap() {
     });
 }
 
+/// Drives `mem` the way the SoC does: step `i` submits `reqs(i)` at
+/// `i × gap_ns` — or later, once fewer than `window` requests are
+/// outstanding (the doorbell credit) — collecting completions at every
+/// `next_completion_time` on the way; then drains. Returns completions.
+fn drive_dram(
+    mem: &mut MemorySystem,
+    steps: u64,
+    gap_ns: u64,
+    window: usize,
+    mut reqs: impl FnMut(u64, &mut Vec<MemRequest>),
+) -> usize {
+    let mut done = Vec::new();
+    let mut batch = Vec::new();
+    let mut now = SimTime::ZERO;
+    let mut submitted = 0;
+    for i in 0..steps {
+        let at = now.max(SimTime::from_ns(i * gap_ns));
+        while let Some(t) = mem.next_completion_time() {
+            if t > at && submitted - done.len() < window {
+                break;
+            }
+            now = now.max(t);
+            mem.collect_completions_into(now, &mut done);
+        }
+        now = now.max(at);
+        batch.clear();
+        reqs(i, &mut batch);
+        for &r in &batch {
+            mem.submit(now, r);
+        }
+        submitted += batch.len();
+    }
+    done.len() + mem.drain(now).len()
+}
+
 fn bench_dram() {
     bench("dram-4k-requests", 20, || {
         let mut mem = MemorySystem::new(DramConfig::lpddr3_table3());
@@ -93,6 +128,45 @@ fn bench_dram() {
             );
         }
         black_box(mem.drain(SimTime::ZERO).len());
+    });
+    // One channel kept saturated by a closed loop of 16 outstanding 4 KB
+    // requests: every collection pumps an FR-FCFS scan over a full queue.
+    bench("dram-1ch-saturated", 10, || {
+        let mut cfg = DramConfig::lpddr3_table3();
+        cfg.channels = 1;
+        let mut mem = MemorySystem::new(cfg);
+        let n = drive_dram(&mut mem, 8192, 0, 16, |i, out| {
+            let op = if i % 3 == 0 {
+                MemOp::Write
+            } else {
+                MemOp::Read
+            };
+            out.push(MemRequest::new((i % 512) * 4096, 4096, op, i));
+        });
+        black_box(n);
+    });
+    // The matrix cells' shape on the Table 3 memory: 16 KB input reads
+    // plus posted 4 KB output writes from a few concurrent streams, ~60 %
+    // bus utilization, collected at each completion instant.
+    bench("dram-4ch-matrix", 10, || {
+        let mut mem = MemorySystem::new(DramConfig::lpddr3_table3());
+        let n = drive_dram(&mut mem, 4096, 2000, usize::MAX, |i, out| {
+            let stream = (i % 4) << 26;
+            let k = i / 4;
+            out.push(MemRequest::new(
+                stream + k * 16384,
+                16384,
+                MemOp::Read,
+                2 * i,
+            ));
+            out.push(MemRequest::new(
+                stream + (1 << 25) + k * 4096,
+                4096,
+                MemOp::Write,
+                2 * i + 1,
+            ));
+        });
+        black_box(n);
     });
 }
 

@@ -622,6 +622,39 @@ mod tests {
         assert!(cache.get(3).is_some());
     }
 
+    /// A what-if the memory model cannot build must come back as a typed
+    /// `ok:false`, and the server must go on answering the next request.
+    #[test]
+    fn unbuildable_whatif_is_rejected_and_serving_continues() {
+        let script = concat!(
+            r#"{"id":1,"unit":"A1","ms":4,"warmup_ms":2,"whatif":{"dram_channels":128}}"#,
+            "\n",
+            r#"{"id":2,"unit":"A1","ms":4,"warmup_ms":2}"#,
+            "\n",
+        );
+        let mut out = Vec::new();
+        let stats = Server::new(ServeOptions::default())
+            .run(script.as_bytes(), &mut out)
+            .expect("server I/O");
+        let text = String::from_utf8(out).expect("NDJSON is UTF-8");
+        let by_id: std::collections::BTreeMap<u64, Json> = text
+            .lines()
+            .map(|l| {
+                let doc = json::parse(l).expect("response parses");
+                let id = doc.get("id").and_then(Json::as_f64).expect("id") as u64;
+                (id, doc)
+            })
+            .collect();
+        assert_eq!(by_id.len(), 2, "both requests answered: {text}");
+        assert_eq!(by_id[&1].get("ok"), Some(&Json::Bool(false)));
+        assert!(by_id[&1]
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("channels")));
+        assert_eq!(by_id[&2].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!((stats.ok, stats.errors), (1, 1));
+    }
+
     #[test]
     fn smoke_passes() {
         assert_eq!(smoke(), 0, "serve smoke self-check failed");

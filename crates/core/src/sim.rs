@@ -291,12 +291,25 @@ struct LaneSched {
     side_total: u64,
     n_rounds: u64,
     rounds_computed: u64,
+    /// The current round's input and side-read needs, cached by
+    /// [`LaneSched::refresh_needs`] whenever the totals or the round
+    /// change (the eligibility scan would otherwise divide per lane).
+    need_in: u64,
+    need_side: u64,
     in_ready: u64,
     side_ready: u64,
     out_pending: u64,
 }
 
 impl LaneSched {
+    /// Recomputes the cached round needs; call after changing
+    /// `in_total`, `side_total`, `n_rounds` or `rounds_computed`.
+    fn refresh_needs(&mut self) {
+        self.need_in = SystemSim::round_part(self.in_total, self.n_rounds, self.rounds_computed);
+        self.need_side =
+            SystemSim::round_part(self.side_total, self.n_rounds, self.rounds_computed);
+    }
+
     /// Placeholder for an inactive lane (never read while inactive).
     fn idle() -> Self {
         LaneSched {
@@ -310,6 +323,8 @@ impl LaneSched {
             side_total: 0,
             n_rounds: 0,
             rounds_computed: 0,
+            need_in: 0,
+            need_side: 0,
             in_ready: 0,
             side_ready: 0,
             out_pending: 0,
@@ -1606,8 +1621,15 @@ impl SystemSim {
     // ------------------------------------------------------------------
 
     /// The `r`-th share of `total` split into `n` monotone parts that sum
-    /// exactly to `total`.
+    /// exactly to `total`. The early returns skip both divisions for the
+    /// common no-side-read (`total == 0`) and single-round lanes.
     fn round_part(total: u64, n: u64, r: u64) -> u64 {
+        if total == 0 {
+            return 0;
+        }
+        if n == 1 {
+            return total;
+        }
         (total * (r + 1)) / n - (total * r) / n
     }
 
@@ -2137,7 +2159,7 @@ impl SystemSim {
                     let input = self.input_mode(flow, stage);
                     let deadline = self.flows[flow].ledger.deadline(frame0);
                     self.ips[ip].active[lane] = true;
-                    self.ips[ip].sched[lane] = LaneSched {
+                    let mut s = LaneSched {
                         dispatch: item.dispatch,
                         stage,
                         frame_pos: 0,
@@ -2148,10 +2170,14 @@ impl SystemSim {
                         side_total,
                         n_rounds,
                         rounds_computed: 0,
+                        need_in: 0,
+                        need_side: 0,
                         in_ready: 0,
                         side_ready: 0,
                         out_pending: 0,
                     };
+                    s.refresh_needs();
+                    self.ips[ip].sched[lane] = s;
                     self.ips[ip].xfer[lane] = LaneXfer {
                         flow,
                         out_total,
@@ -2217,7 +2243,7 @@ impl SystemSim {
             // reference frame larger than the output); the prefetch window
             // must always cover the next round's need or the round could
             // never become eligible.
-            let side_need = Self::round_part(s.side_total, s.n_rounds, s.rounds_computed);
+            let side_need = s.need_side;
             let side_window = (2 * sub).max(side_need + sub);
             let want_side =
                 x.side_requested < s.side_total && x.side_requested - x.side_consumed < side_window;
@@ -2392,8 +2418,7 @@ impl SystemSim {
             {
                 continue;
             }
-            let need = Self::round_part(s.in_total, s.n_rounds, s.rounds_computed);
-            let need_side = Self::round_part(s.side_total, s.n_rounds, s.rounds_computed);
+            let (need, need_side) = (s.need_in, s.need_side);
             let available = match s.input {
                 InputMode::None => u64::MAX,
                 InputMode::Dram => s.in_ready,
@@ -2450,10 +2475,7 @@ impl SystemSim {
         self.scratch_eligible = eligible;
 
         // Consume the round's input.
-        let need = {
-            let s = &self.ips[ip].sched[lane];
-            Self::round_part(s.in_total, s.n_rounds, s.rounds_computed)
-        };
+        let need = self.ips[ip].sched[lane].need_in;
         match self.ips[ip].sched[lane].input {
             InputMode::None => {}
             InputMode::Dram => {
@@ -2473,7 +2495,7 @@ impl SystemSim {
         }
         {
             let s = &mut self.ips[ip].sched[lane];
-            let need_side = Self::round_part(s.side_total, s.n_rounds, s.rounds_computed);
+            let need_side = s.need_side;
             s.side_ready -= need_side;
             self.ips[ip].xfer[lane].side_consumed += need_side;
         }
@@ -2522,6 +2544,7 @@ impl SystemSim {
             let s = &mut self.ips[ip].sched[lane];
             let r = s.rounds_computed;
             s.rounds_computed += 1;
+            s.refresh_needs();
             s.out_pending += Self::round_part(out_total, s.n_rounds, r);
         }
         self.flush_output(ip, lane, sched);
@@ -2601,6 +2624,7 @@ impl SystemSim {
             let s = &mut self.ips[ip].sched[lane];
             s.in_total = next_in;
             s.rounds_computed = 0;
+            s.refresh_needs();
             s.in_ready = 0;
             s.side_ready = 0;
             s.deadline = next_deadline;
@@ -3002,6 +3026,32 @@ mod tests {
 
     fn run(scheme: Scheme, flows: Vec<FlowSpec>) -> SystemReport {
         SystemSim::run(quick_cfg(scheme), flows)
+    }
+
+    #[test]
+    fn round_part_shortcuts_match_the_division_form() {
+        let div = |t: u64, n: u64, r: u64| (t * (r + 1)) / n - (t * r) / n;
+        for (t, n) in [
+            (0, 1),
+            (0, 7),
+            (5, 1),
+            (1_382_400, 1),
+            (1_382_400, 1350),
+            (7, 3),
+        ] {
+            let mut sum = 0;
+            for r in 0..=n {
+                assert_eq!(
+                    SystemSim::round_part(t, n, r),
+                    div(t, n, r),
+                    "({t}, {n}, {r})"
+                );
+                if r < n {
+                    sum += SystemSim::round_part(t, n, r);
+                }
+            }
+            assert_eq!(sum, t);
+        }
     }
 
     /// A reset cell must be bit-for-bit indistinguishable from a fresh

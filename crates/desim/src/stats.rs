@@ -437,139 +437,6 @@ impl RateTracker {
     }
 }
 
-/// Streaming quantile estimation with the P² algorithm (Jain & Chlamtac,
-/// 1985): tracks one quantile in O(1) memory without storing samples.
-/// Used for tail latencies (e.g. p95 DRAM request latency) where exact
-/// percentiles would require unbounded buffers.
-///
-/// # Example
-///
-/// ```
-/// use desim::stats::Quantile;
-/// let mut q = Quantile::new(0.5);
-/// for x in 1..=1001 {
-///     q.push(x as f64);
-/// }
-/// assert!((q.estimate() - 501.0).abs() < 20.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments.
-    increments: [f64; 5],
-    count: usize,
-}
-
-impl Quantile {
-    /// Creates an estimator for quantile `q` in `(0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not strictly between 0 and 1.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1)");
-        Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// Number of samples observed.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights.sort_by(f64::total_cmp);
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Find the cell and clamp the extremes.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            (0..4)
-                .find(|&i| x < self.heights[i + 1])
-                .expect("x within extremes")
-        };
-
-        for p in &mut self.positions[k + 1..] {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments) {
-            *d += inc;
-        }
-
-        // Adjust the three interior markers.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let below = self.positions[i] - self.positions[i - 1];
-            let above = self.positions[i + 1] - self.positions[i];
-            if (d >= 1.0 && above > 1.0) || (d <= -1.0 && below > 1.0) {
-                let sign = d.signum();
-                let parabolic = self.parabolic(i, sign);
-                let new_h = if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                    parabolic
-                } else {
-                    self.linear(i, sign)
-                };
-                self.heights[i] = new_h;
-                self.positions[i] += sign;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, sign: f64) -> f64 {
-        let n = &self.positions;
-        let h = &self.heights;
-        h[i] + sign / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + sign) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - sign) * (h[i] - h[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, sign: f64) -> f64 {
-        let j = (i as f64 + sign) as usize;
-        self.heights[i]
-            + sign * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// The current quantile estimate (exact for fewer than 5 samples; 0
-    /// when empty).
-    pub fn estimate(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if self.count < 5 {
-            let mut v = self.heights[..self.count].to_vec();
-            v.sort_by(f64::total_cmp);
-            let idx = ((self.count as f64 - 1.0) * self.q).round() as usize;
-            return v[idx.min(self.count - 1)];
-        }
-        self.heights[2]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,44 +585,5 @@ mod tests {
         let r = RateTracker::new(SimDelta::from_ms(1));
         assert_eq!(r.fraction_at_least(SimTime::ZERO, 1.0), 0.0);
         assert!(r.windows(SimTime::ZERO).is_empty());
-    }
-
-    #[test]
-    fn quantile_median_of_uniform() {
-        let mut rng = crate::SplitMix64::new(42);
-        let mut q = Quantile::new(0.5);
-        for _ in 0..50_000 {
-            q.push(rng.uniform(0.0, 100.0));
-        }
-        assert!((q.estimate() - 50.0).abs() < 2.0, "{}", q.estimate());
-    }
-
-    #[test]
-    fn quantile_p95_of_exponential() {
-        let mut rng = crate::SplitMix64::new(7);
-        let mut q = Quantile::new(0.95);
-        for _ in 0..100_000 {
-            q.push(rng.exponential(10.0));
-        }
-        // True p95 of Exp(10) is 10·ln(20) ≈ 29.96.
-        assert!((q.estimate() - 29.96).abs() < 2.0, "{}", q.estimate());
-    }
-
-    #[test]
-    fn quantile_small_counts_are_exact() {
-        let mut q = Quantile::new(0.5);
-        assert_eq!(q.estimate(), 0.0);
-        q.push(5.0);
-        assert_eq!(q.estimate(), 5.0);
-        q.push(1.0);
-        q.push(9.0);
-        assert_eq!(q.estimate(), 5.0);
-        assert_eq!(q.count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in (0,1)")]
-    fn quantile_rejects_bad_q() {
-        let _ = Quantile::new(1.0);
     }
 }

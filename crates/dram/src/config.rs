@@ -2,6 +2,10 @@
 
 use desim::SimDelta;
 
+/// Largest supported channel count: the memory system tracks the
+/// channels a submit or collection touched in a `u64` bitmask.
+pub const MAX_CHANNELS: usize = 64;
+
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PagePolicy {
@@ -144,6 +148,12 @@ impl DramConfig {
         if !self.channels.is_power_of_two() || !self.banks.is_power_of_two() {
             return Err("channel and bank counts must be powers of two".into());
         }
+        if self.channels > MAX_CHANNELS {
+            return Err(format!(
+                "{} channels exceed the supported maximum of {MAX_CHANNELS}",
+                self.channels
+            ));
+        }
         if self.t_line == SimDelta::ZERO && !self.ideal {
             return Err("t_line must be nonzero for a non-ideal memory".into());
         }
@@ -183,6 +193,12 @@ mod tests {
         let mut cfg = DramConfig::lpddr3_table3();
         cfg.channels = 3;
         assert!(cfg.validate().is_err());
+
+        let mut cfg = DramConfig::lpddr3_table3();
+        cfg.channels = 2 * MAX_CHANNELS;
+        assert!(cfg.validate().unwrap_err().contains("maximum"));
+        cfg.channels = MAX_CHANNELS;
+        cfg.validate().unwrap();
 
         let mut cfg = DramConfig::lpddr3_table3();
         cfg.row_bytes = 100;

@@ -38,6 +38,8 @@ pub struct AddressMapper {
     bank_mask: u64,
     bank_shift: u32,
     column_shift: u32,
+    /// log2(channels × banks): the residue-class count of `split_into`.
+    group_shift: u32,
 }
 
 impl AddressMapper {
@@ -58,6 +60,7 @@ impl AddressMapper {
             bank_mask: (cfg.banks as u64) - 1,
             bank_shift: line_shift + channel_bits,
             column_shift: line_shift + channel_bits + bank_bits + column_bits,
+            group_shift: channel_bits + bank_bits,
         }
     }
 
@@ -84,14 +87,15 @@ impl AddressMapper {
     /// lines: in line-index space the low bits of an index select
     /// `(channel, bank)` and the bits above the column select the row, so
     /// within one row-stripe every group is a residue class mod
-    /// `channels × banks` and its size is a division, not a walk. Groups are
-    /// emitted in first-touch order — identical to the line walk's output.
+    /// `channels × banks` (a power of two) and its size is a shift, not a
+    /// walk. Groups are emitted in first-touch order — identical to the
+    /// line walk's output.
     pub fn split_into(&self, addr: u64, bytes: u64, line_bytes: u64, out: &mut Vec<(Place, u64)>) {
         let first = addr / line_bytes;
         let last = (addr + bytes - 1) / line_bytes;
         // Geometry in line-index space (line_bytes is a power of two and
         // `channel_shift` is its bit width, so byte shifts translate down).
-        let groups = (self.channel_mask + 1) * (self.bank_mask + 1);
+        let groups = 1u64 << self.group_shift;
         let row_shift = self.column_shift - self.channel_shift;
         let stripe = 1u64 << row_shift; // lines per (row × all channels × banks)
         let mut a = first;
@@ -103,7 +107,10 @@ impl AddressMapper {
             for l in a..a + span {
                 // `l` is the first line of its residue class within [a, b];
                 // the rest follow every `groups` lines.
-                out.push((self.place(l * line_bytes), (b - l) / groups + 1));
+                out.push((
+                    self.place(l * line_bytes),
+                    ((b - l) >> self.group_shift) + 1,
+                ));
             }
             a = b + 1;
         }

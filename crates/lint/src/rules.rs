@@ -116,6 +116,7 @@ const H001_HOT_FNS: [(&str, &[&str]); 5] = [
             "on_mem_tick",
             "on_sa_arrival",
             "round_part",
+            "refresh_needs",
             "stream_addr",
             "handle_batch",
             "kind_index",
@@ -139,7 +140,9 @@ const H001_HOT_FNS: [(&str, &[&str]); 5] = [
             "submit",
             "pump",
             "collect_completions_into",
-            "refresh_earliest",
+            "front",
+            "push_back",
+            "pop_front",
         ],
     ),
     (
@@ -147,6 +150,9 @@ const H001_HOT_FNS: [(&str, &[&str]); 5] = [
         &[
             "catch_up_refresh",
             "enqueue",
+            "queued",
+            "can_issue",
+            "take",
             "service_complete",
             "try_issue",
         ],
